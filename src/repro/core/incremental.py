@@ -2,30 +2,21 @@
 
 The paper notes (§2.2, §6) that TreeLattice "by design is also
 incremental in nature and can maintain summaries on-line", in the spirit
-of XPathLearner, but does not evaluate it.  This module implements exact
-incremental maintenance for the dominant growth pattern of record-style
+of XPathLearner, but does not evaluate it.  :class:`IncrementalLattice`
+keeps a summary exact for the dominant growth pattern of record-style
 XML: **appending a record subtree under the document root** (a new
 auction, a new protein entry, a new movie).
 
-Correctness argument.  A twig match image is connected (every query edge
-maps to a document edge), so after appending record ``R`` under root
-``r`` every match falls into exactly one of three disjoint classes:
-
-1. *old-only* — entirely inside the old document: already counted;
-2. *record-only* — entirely inside ``R``'s nodes: counted by mining the
-   record in isolation (its internal structure is unchanged by the
-   graft);
-3. *spanning* — uses nodes on both sides, hence contains the edge
-   ``r -> root(R)``, hence contains ``r``; and since ``r`` has no
-   parent, the query node mapped to ``r`` must be the query root.  So
-   every spanning match is **anchored at the document root**, and the
-   class-3 contribution is the change in root-anchored pattern counts.
-
-The maintainer therefore mines the record (class 2) and re-enumerates
-root-anchored patterns before and after the graft (class 3).  The
-result is bit-exact with a full rebuild — asserted against
-:func:`repro.mining.mine_lattice` in the test suite — at a fraction of
-the cost when records are small relative to the document.
+It is the append-only view of
+:class:`~repro.core.streaming.StreamingSummary`: every append is one
+streaming insert, which mines the record (record-only matches) and adds
+the root-spanning delta from the maintainer's root-child moment sums —
+see :mod:`repro.core.streaming` for the three-class argument and the
+permanent identity behind it.  Each append costs
+``O(mine(record) + affected root patterns · Bell(k-2))``, plus one lazy
+``O(document)`` start on the first append; the document is never
+re-matched.  The result is bit-exact with a full rebuild — asserted
+against :func:`repro.mining.mine_lattice` in the test suite.
 """
 
 from __future__ import annotations
@@ -33,12 +24,10 @@ from __future__ import annotations
 import time
 
 from .. import obs
-from ..mining.freqt import mine_lattice
-from ..mining.sharded import anchored_counts
 from ..trees.canonical import Canon
 from ..trees.labeled_tree import LabeledTree, TreeBuildError
-from ..trees.matching import DocumentIndex
 from .lattice import LatticeSummary
+from .streaming import StreamingSummary
 
 __all__ = ["IncrementalLattice"]
 
@@ -59,12 +48,8 @@ class IncrementalLattice:
     def __init__(self, document: LabeledTree, level: int) -> None:
         if level < 2:
             raise ValueError("a lattice summary needs level >= 2")
-        self._document = document
         self.level = level
-        self._pattern_counts: dict[Canon, int] = dict(
-            mine_lattice(document, level).all_patterns()
-        )
-        self._appends = 0
+        self._stream = StreamingSummary(document, level)
 
     # ------------------------------------------------------------------
     # Views
@@ -72,23 +57,20 @@ class IncrementalLattice:
 
     @property
     def document(self) -> LabeledTree:
-        return self._document
+        return self._stream.document
 
     @property
     def appends(self) -> int:
         """Number of records appended since construction."""
-        return self._appends
+        return self._stream.updates
 
     def summary(self) -> LatticeSummary:
         """Snapshot the current counts as an immutable summary."""
-        return LatticeSummary(
-            self.level,
-            {c: n for c, n in self._pattern_counts.items() if n > 0},
-        )
+        return self._stream.summary(fresh=True)
 
     def count(self, pattern: Canon) -> int:
         """Current exact count of ``pattern`` (0 when absent)."""
-        return self._pattern_counts.get(pattern, 0)
+        return self._stream.count(pattern)
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -102,27 +84,9 @@ class IncrementalLattice:
         if record.size < 1:
             raise TreeBuildError("cannot append an empty record")
         started = time.perf_counter()
-
-        # Class 3, before-side.
-        before = self._root_anchored_counts()
-
-        _graft(self._document, self._document.root, record)
-        self._appends += 1
-
-        # Class 2: patterns entirely inside the new record.
-        for pattern, count in mine_lattice(record, self.level).all_patterns().items():
-            self._pattern_counts[pattern] = self._pattern_counts.get(pattern, 0) + count
-
-        # Class 3: spanning matches = delta of root-anchored counts.
-        after = self._root_anchored_counts()
-        touched = 0
-        for pattern in after.keys() | before.keys():
-            delta = after.get(pattern, 0) - before.get(pattern, 0)
-            if delta:
-                touched += 1
-                self._pattern_counts[pattern] = self._pattern_counts.get(pattern, 0) + delta
+        spanning = self._stream._insert(record)
         if obs.enabled:
-            self._record_append(record.size, touched, started)
+            self._record_append(record.size, spanning, started)
 
     def _record_append(self, record_size: int, spanning: int, started: float) -> None:
         if not obs.enabled:  # call sites check too; this is defence in depth
@@ -143,41 +107,11 @@ class IncrementalLattice:
         ).observe(elapsed)
         obs.registry.gauge(
             "incremental_document_nodes", "Document size after the last append."
-        ).set(self._document.size)
+        ).set(self.document.size)
         obs.event(
             "incremental_append",
             record_size=record_size,
             spanning_updates=spanning,
-            document_nodes=self._document.size,
+            document_nodes=self.document.size,
             seconds=round(elapsed, 6),
         )
-
-    def _root_anchored_counts(self) -> dict[Canon, int]:
-        """Counts of every lattice-sized pattern *anchored at the root*.
-
-        The single-anchor case of the shared
-        :func:`~repro.mining.sharded.anchored_counts` enumeration (the
-        sharded miner uses the same routine with a shard plan's residue
-        as the anchor set).
-        """
-        document = self._document
-        return anchored_counts(
-            DocumentIndex(document), (document.root,), self.level
-        )
-
-
-def _graft(document: LabeledTree, parent: int, record: LabeledTree) -> int:
-    """Copy ``record`` as a new child subtree of ``parent``.
-
-    Returns the document id of the copied record root.
-    """
-    mapping = {
-        record.root: document.add_child(parent, record.label(record.root))  # lint: disable=twig-arg-mutation -- grafting IS this helper's job
-    }
-    for node in record.preorder():
-        if node == record.root:
-            continue
-        mapping[node] = document.add_child(  # lint: disable=twig-arg-mutation -- see above
-            mapping[record.parent(node)], record.label(node)
-        )
-    return mapping[record.root]

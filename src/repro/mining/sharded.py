@@ -62,9 +62,10 @@ def anchored_counts(
     against the full document.  Level-wise enumeration seeded at the
     anchors' labels; completeness follows from the leaf-removal closure
     (removing a non-root leaf of an anchored pattern leaves an anchored
-    pattern at the same node).  With ``anchors = [root]`` this is the
-    incremental layer's root-anchored delta; with a shard plan's residue
-    it is the boundary-pattern correction of the sharded mine.
+    pattern at the same node).  With a shard plan's residue it is the
+    boundary-pattern correction of the sharded mine; with
+    ``anchors = [root]`` it is the whole-document recount that the
+    streaming layer's O(record) spanning delta is tested against.
     """
     out: dict[Canon, int] = {}
     if not anchors or max_size < 1:

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import LabeledTree, LatticeSummary, StreamingSummary
-from repro.core.streaming import DEFAULT_MAX_PENDING
+from repro.core.streaming import DEFAULT_MAX_PENDING, _graft, _RootMoments
+from repro.mining.sharded import anchored_counts
 from repro.trees.labeled_tree import TreeBuildError
+from repro.trees.matching import DocumentIndex
 
 LABELS = "abcd"
 LEVEL = 3
@@ -263,3 +265,212 @@ def test_build_can_route_through_shards():
         _attach(document, LabeledTree.from_nested(nested))
     streaming = StreamingSummary(document.copy(), LEVEL, shards=2)
     assert dict(streaming.summary().patterns()) == rebuilt_counts(document)
+
+
+# ----------------------------------------------------------------------
+# Root-spanning delta from root-child moment sums
+# ----------------------------------------------------------------------
+
+#: ``"r"`` is the document root's label, so records can carry it too.
+SPAN_LABELS = "rab"
+
+
+@st.composite
+def twin_record(draw):
+    """A record whose root has identical child subtrees, so a spanning
+    pattern can have identical query children (non-trivial partitions)."""
+    record = LabeledTree(draw(st.sampled_from(SPAN_LABELS)))
+    twin = draw(random_record(max_size=2, labels=SPAN_LABELS))
+    extra = draw(st.lists(random_record(max_size=2, labels=SPAN_LABELS), max_size=1))
+    for kid in [twin] * draw(st.integers(2, 3)) + extra:
+        _graft(record, record.root, kid)
+    return record
+
+
+span_record = st.one_of(
+    random_record(max_size=5, labels=SPAN_LABELS), twin_record()
+)
+
+
+@st.composite
+def span_script(draw):
+    """A seed document (possibly a bare root) plus an insert/delete script."""
+    document = LabeledTree("r")
+    for _ in range(draw(st.integers(0, 3))):
+        _attach(document, draw(span_record))
+    live = len(document.child_ids(document.root))
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        if live and draw(st.booleans()):
+            ops.append(("delete", draw(st.integers(0, live - 1))))
+            live -= 1
+        else:
+            ops.append(("insert", draw(span_record)))
+            live += 1
+    return document, ops
+
+
+def _root_anchored(document: LabeledTree, level: int) -> dict:
+    return anchored_counts(DocumentIndex(document), (document.root,), level)
+
+
+def _cut(document: LabeledTree, node: int) -> LabeledTree:
+    drop = [node]
+    stack = [node]
+    while stack:
+        for child in document.child_ids(stack.pop()):
+            drop.append(child)
+            stack.append(child)
+    return document.remove_nodes(drop)
+
+
+def _check_spanning_deltas(document: LabeledTree, ops: list, level: int) -> None:
+    """Each update's moment-sum delta equals the change in root-anchored
+    counts re-enumerated over the whole document, before and after."""
+    moments = _RootMoments.of_document(document, level)
+    root_label = document.label(document.root)
+    for kind, arg in ops:
+        before = _root_anchored(document, level)
+        if kind == "insert":
+            _, delta = moments.apply(arg, root_label, 1)
+            _attach(document, arg)
+        else:
+            node = document.child_ids(document.root)[arg]
+            _, delta = moments.apply(document.subtree_at(node), root_label, -1)
+            document = _cut(document, node)
+        after = _root_anchored(document, level)
+        want = {
+            pattern: after.get(pattern, 0) - before.get(pattern, 0)
+            for pattern in after.keys() | before.keys()
+        }
+        assert delta == {p: n for p, n in want.items() if n}, (kind, level)
+    assert moments.sums == _RootMoments.of_document(document, level).sums
+
+
+@settings(max_examples=60, deadline=None)
+@given(script=span_script(), level=st.integers(1, 5))
+def test_moment_delta_equals_anchored_recount(script, level):
+    document, ops = script
+    _check_spanning_deltas(document, ops, level)
+
+
+SPAN_CASES = {
+    # Records carrying the document root's label, at and below their root.
+    "root-label record": (
+        [("r", ["a"])],
+        [("insert", ("r", ["r", ("a", ["r"])])), ("insert", "r")],
+    ),
+    # Identical query children: r(a(b), a(b)) needs the {a(b), a(b)} moment.
+    "repeated-label kids": (
+        [("a", ["b", "b"]), ("a", [("b", ["a"]), "b"])],
+        [
+            ("insert", ("a", ["b", "b", "b"])),
+            ("insert", ("b", [("a", ["b"]), ("a", ["b"])])),
+            ("delete", 0),
+        ],
+    ),
+    "delete the only record": ([("a", ["b", "b"])], [("delete", 0)]),
+    "insert under a childless root": (
+        [],
+        [("insert", ("a", ["b", "b"])), ("insert", "a")],
+    ),
+}
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("case", sorted(SPAN_CASES))
+def test_moment_delta_edge_cases(case, level):
+    records, script = SPAN_CASES[case]
+    document = LabeledTree("r")
+    for spec in records:
+        _attach(document, LabeledTree.from_nested(spec))
+    ops = [
+        (kind, LabeledTree.from_nested(arg) if kind == "insert" else arg)
+        for kind, arg in script
+    ]
+    _check_spanning_deltas(document, ops, level)
+
+
+@settings(max_examples=20, deadline=None)
+@given(script=span_script(), level=st.integers(2, 5))
+def test_streaming_matches_rebuild_at_every_level(script, level):
+    document, ops = script
+    streaming = StreamingSummary(document, level, max_pending=1)
+    for kind, arg in ops:
+        if kind == "insert":
+            streaming.insert(arg)
+        else:
+            streaming.delete(arg)
+    want = dict(LatticeSummary.build(streaming.document, level).patterns())
+    assert dict(streaming.summary(fresh=True).patterns()) == want
+
+
+# ----------------------------------------------------------------------
+# Work done per update
+# ----------------------------------------------------------------------
+
+
+def test_updates_never_recount_the_whole_document(tmp_path, monkeypatch):
+    # Only the first update may touch the whole document (it builds the
+    # root-child moment sums); every later one mines just its record,
+    # and resuming from a saved summary mines nothing at all.
+    from repro.core import streaming as streaming_module
+    from repro.datasets import generate_nasa
+    from repro.trees import matching
+
+    level = 3
+    document = generate_nasa(20, seed=1)
+    donor = generate_nasa(8, seed=2)
+    records = [donor.subtree_at(child) for child in donor.child_ids(donor.root)]
+    path = tmp_path / "doc.tl"
+    LatticeSummary.build(document, level).save(path)
+
+    calls = {"anchored_counts": 0, "mine_lattice": 0}
+    indexed: list[int] = []
+
+    def counted(name):
+        original = getattr(streaming_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    index_init = matching.DocumentIndex.__init__
+
+    def recording_init(self, tree):
+        indexed.append(tree.size)
+        index_init(self, tree)
+
+    for name in calls:
+        monkeypatch.setattr(streaming_module, name, counted(name))
+    monkeypatch.setattr(matching.DocumentIndex, "__init__", recording_init)
+
+    streaming = StreamingSummary.restore(path, document, max_pending=4)
+    assert calls["mine_lattice"] == 0 and indexed == []
+
+    whole = document.size
+    streaming.insert(records[0])
+    assert whole in indexed  # the lazy moment build, once
+
+    calls.update(anchored_counts=0, mine_lattice=0)
+    indexed.clear()
+    updates = 12
+    for op in range(updates):
+        if op % 2:
+            current = streaming.document
+            streaming.delete(op % len(current.child_ids(current.root)))
+        else:
+            streaming.insert(records[1 + op // 2 % (len(records) - 1)])
+    assert calls["anchored_counts"] == 0
+    assert calls["mine_lattice"] == updates  # one mine per record
+    # Every index built was of one record: a donor or an original child.
+    record_sizes = {record.size for record in records}
+    record_sizes.update(
+        document.subtree_at(child).size for child in document.child_ids(document.root)
+    )
+    assert set(indexed) <= record_sizes
+    assert len(indexed) == updates
+    want = dict(LatticeSummary.build(streaming.document, level).patterns())
+    assert dict(streaming.summary(fresh=True).patterns()) == want

@@ -21,6 +21,13 @@ parallel/batch identity checks, producing a ``BENCH_pr.json`` artifact:
   against the cold pass that built the plans, failing below each
   backend's speedup floor (plan/array 2x, numpy 10x) and on any warm
   value differing from the cold bit pattern;
+* streams ``STREAM_UPDATES`` alternating inserts and deletes through a
+  :class:`~repro.core.streaming.StreamingSummary` of a NASA document,
+  recording calibration-scaled insert/delete medians and failing if the
+  median delete costs more than ``DELETE_INSERT_CEILING`` times the
+  median insert (both mine one record, so a dearer delete means an
+  O(document) step came back) or if the streamed snapshot differs from
+  a rebuild of the final document;
 * compares construction time and warm throughput against a checked-in
   baseline JSON and fails when either regresses more than ``--factor``
   (default 2x).
@@ -57,6 +64,8 @@ import datetime
 import gc
 import json
 import os
+import random
+import statistics
 import subprocess
 import sys
 import time
@@ -65,7 +74,8 @@ from pathlib import Path
 from repro.core.fixed import FixedDecompositionEstimator
 from repro.core.lattice import LatticeSummary
 from repro.core.recursive import RecursiveDecompositionEstimator
-from repro.datasets import generate_dataset
+from repro.core.streaming import StreamingSummary
+from repro.datasets import generate_dataset, generate_nasa
 from repro.kernels import available_backends
 from repro.mining import anchored_counts, merge_shard_stores, mine_shard_store
 from repro.mining.freqt import MiningResult, mine_lattice
@@ -101,6 +111,12 @@ BACKEND_SPEEDUP_FLOORS = {"plan": 2.0, "array": 2.0, "numpy": 10.0}
 #: inside timer jitter; each timed warm region runs this many batches
 #: and divides, keeping per-backend qps stable enough to gate on.
 WARM_REPEATS = 10
+#: Streaming region: alternating updates on ``generate_nasa(*STREAM_DOC)``.
+STREAM_DOC = (150, 1)
+STREAM_UPDATES = 40
+#: Inserts and deletes each mine one record; a delete may cost at most
+#: this many inserts (medians) before it counts as an O(document) step.
+DELETE_INSERT_CEILING = 1.5
 
 
 def calibration_seconds() -> float:
@@ -364,6 +380,65 @@ def run_dataset(
     return row, failures
 
 
+def run_stream() -> tuple[dict[str, object], list[str]]:
+    """Time alternating streaming updates; returns (metrics row, failures).
+
+    Each update picks a seeded random root child: an insert adds a copy
+    of it, a delete removes it, so both medians are taken over records
+    of one population.  One untimed insert first builds the
+    lazily-initialised root-child moment sums.
+    """
+    records, seed = STREAM_DOC
+    stream = StreamingSummary(generate_nasa(records, seed), LEVEL, max_pending=2)
+    document = stream.document
+    stream.insert(document.subtree_at(document.child_ids(document.root)[0]))
+    rng = random.Random(seed)
+    timings: dict[str, list[float]] = {"insert": [], "delete": []}
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    calibration_before = calibration_seconds()
+    try:
+        for op in range(STREAM_UPDATES):
+            document = stream.document
+            kids = document.child_ids(document.root)
+            position = rng.randrange(len(kids))
+            if op % 2:
+                start = time.process_time()
+                stream.delete(position)
+            else:
+                record = document.subtree_at(kids[position])
+                start = time.process_time()
+                stream.insert(record)
+            timings["delete" if op % 2 else "insert"].append(
+                time.process_time() - start
+            )
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    calibration = bracket_calibration(calibration_before, calibration_seconds())
+    insert_ratio = statistics.median(timings["insert"]) / calibration
+    delete_ratio = statistics.median(timings["delete"]) / calibration
+    row: dict[str, object] = {
+        "records": records,
+        "updates": STREAM_UPDATES,
+        "insert_median_ratio": round(insert_ratio, 4),
+        "delete_median_ratio": round(delete_ratio, 4),
+        "delete_vs_insert": round(delete_ratio / insert_ratio, 3),
+        "calibration_seconds": round(calibration, 4),
+    }
+    failures: list[str] = []
+    if delete_ratio > DELETE_INSERT_CEILING * insert_ratio:
+        failures.append(
+            f"stream: median delete costs {delete_ratio / insert_ratio:.2f}x "
+            f"the median insert (ceiling {DELETE_INSERT_CEILING}x)"
+        )
+    rebuilt = LatticeSummary.build(stream.document, LEVEL)
+    if dict(stream.summary(fresh=True).patterns()) != dict(rebuilt.patterns()):
+        failures.append("stream: streamed snapshot differs from a rebuild")
+    return row, failures
+
+
 def compare_to_baseline(
     current: dict[str, object], baseline: dict[str, object], factor: float
 ) -> list[str]:
@@ -486,6 +561,14 @@ def main(argv: list[str] | None = None) -> int:
             f"serial={row['serial_seconds']}s parallel={row['parallel_seconds']}s "
             f"merge_overhead={row['merge_vs_serial']:.1%} warm_speedups={warm}"
         )
+
+    stream_row, stream_failures = run_stream()
+    report["stream"] = stream_row
+    failures.extend(stream_failures)
+    print(
+        f"stream   updates={stream_row['updates']} "
+        f"delete_vs_insert={stream_row['delete_vs_insert']}"
+    )
 
     if args.write_baseline:
         Path(args.write_baseline).write_text(

@@ -94,9 +94,9 @@ class StreamingSummary:
     ----------
     document:
         The evolving document.  The maintainer takes ownership: mutate
-        it only through :meth:`insert` / :meth:`delete` (a delete
-        renumbers node ids, so hold on to root-child *positions*, not
-        ids).
+        it only through :meth:`insert` / :meth:`delete` (a delete moves
+        the highest-id surviving nodes into the freed ids, so hold on to
+        root-child *positions*, not ids).
     level:
         Lattice level ``k``.
     store:
@@ -143,6 +143,7 @@ class StreamingSummary:
 
     @property
     def document(self) -> LabeledTree:
+        """The current document, updated in place (see :meth:`delete`)."""
         return self._document
 
     @property
@@ -192,8 +193,9 @@ class StreamingSummary:
 
         The index counts the document root's children left to right
         (the order :meth:`insert` appends in).  Returns a copy of the
-        removed record.  Node ids of the remaining document are
-        renumbered.
+        removed record.  The highest-id surviving nodes move into the
+        removed record's ids, so a node's id may then be below its
+        parent's; the root stays node 0.
         """
         document = self._document
         children = document.child_ids(document.root)
@@ -208,13 +210,7 @@ class StreamingSummary:
         mined, spanning = self._root_moments().apply(
             record, document.label(document.root), -1
         )
-        drop = [node]
-        stack = [node]
-        while stack:
-            for child in document.child_ids(stack.pop()):
-                drop.append(child)
-                stack.append(child)
-        self._document = document.remove_nodes(drop)
+        _cut(document, node)
         self._apply_delta(mined, spanning, sign=-1)
         if obs.enabled:
             self._record_update("delete", record.size, started)
@@ -547,3 +543,27 @@ def _graft(document: LabeledTree, parent: int, record: LabeledTree) -> int:
             mapping[record.parent(node)], record.label(node)
         )
     return mapping[record.root]
+
+
+def _cut(document: LabeledTree, node: int) -> None:
+    """Remove root child ``node``'s subtree in place, in O(subtree): the
+    highest-id survivors move into the freed ids, then the arrays shrink."""
+    labels, parents, children = document.labels, document.parents, document.children
+    drop = [node]
+    for member in drop:  # grows while it is walked: the whole subtree
+        drop.extend(children[member])
+    children[parents[node]].remove(node)
+    keep = len(labels) - len(drop)
+    dropped = set(drop)
+    movers = [old for old in range(keep, len(labels)) if old not in dropped]
+    moved = dict(zip(movers, sorted(free for free in drop if free < keep)))
+    for old, new in moved.items():  # old slots are read, never written
+        labels[new] = labels[old]
+        kids = children[new] = children[old]
+        parent = parents[old]
+        parents[new] = moved.get(parent, parent)
+        siblings = children[parent]
+        siblings[siblings.index(old)] = new
+        for kid in kids:
+            parents[moved.get(kid, kid)] = new
+    del labels[keep:], parents[keep:], children[keep:]

@@ -34,11 +34,11 @@ from typing import TYPE_CHECKING, Sequence
 
 from .. import obs
 from ..store.dict_store import DictStore
-from ..trees.canonical import Canon, canon, canon_size, canon_to_tree
+from ..trees.canonical import Canon, canon_size
 from ..trees.labeled_tree import LabeledTree
 from ..trees.matching import DocumentIndex, _rooted
 from ..trees.regions import ShardPlan, plan_shards
-from .freqt import MiningResult, mine_lattice
+from .freqt import MiningResult, _generate_candidates, mine_lattice
 
 if TYPE_CHECKING:  # runtime import is lazy: repro.parallel pulls in core
     from ..resilience import RetryPolicy
@@ -77,17 +77,9 @@ def anchored_counts(
         out[seed] = out.get(seed, 0) + 1
     frontier = sorted(out)
     for _size in range(2, max_size + 1):
-        candidates: set[Canon] = set()
-        for pattern in frontier:
-            shape = canon_to_tree(pattern)
-            for node in range(shape.size):
-                grow = index.child_labels.get(shape.label(node))
-                if not grow:
-                    continue
-                for label in sorted(grow):
-                    candidates.add(canon(shape.with_child(node, label)))
+        candidates = _generate_candidates(frontier, index)
         frontier = []
-        for candidate in sorted(candidates):
+        for candidate in candidates:
             rooted = _rooted(candidate, index, memo)
             anchored = sum(rooted.get(anchor, 0) for anchor in anchors)
             if anchored:

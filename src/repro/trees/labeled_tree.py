@@ -8,13 +8,14 @@ the decomposition estimators take it apart leaf by leaf.
 A tree is stored as three parallel arrays indexed by integer node id:
 ``labels``, ``parents`` (``-1`` for the root) and ``children`` (lists of
 child ids).  Node ids are arbitrary but stable; helpers that *derive* new
-trees (leaf removal, induced subtrees, copies) renumber nodes in pre-order
-so the resulting trees are compact.
+trees (leaf removal, induced subtrees, ``subtree_at``) renumber compactly,
+each node's children consecutive and above it but in *reverse* order.
 
 Sibling order is not semantically meaningful anywhere in the library —
 twig matching (see :mod:`repro.trees.matching`) is defined on unordered
 trees — but the arrays do preserve insertion order, which keeps traversals
-deterministic.
+deterministic.  The decomposition estimators pick leaf pairs in id
+order, so changing the derived numbering could move estimates.
 """
 
 from __future__ import annotations
@@ -268,7 +269,8 @@ class LabeledTree:
         The node set must be non-empty and connected (one node must be an
         ancestor of all others within the set); otherwise
         :class:`TreeBuildError` is raised.  Node ids in the result are
-        renumbered in pre-order of the original tree.
+        renumbered with each node's children in reverse order (see the
+        module docstring).
         """
         node_set = set(nodes)
         if not node_set:
@@ -295,7 +297,8 @@ class LabeledTree:
         return sub
 
     def subtree_at(self, node: int) -> "LabeledTree":
-        """Return a copy of the full subtree rooted at ``node``."""
+        """Copy of the subtree at ``node`` (siblings reversed, as in
+        :meth:`induced_subtree`)."""
         sub = LabeledTree(self.labels[node])
         stack = [(node, 0)]
         while stack:

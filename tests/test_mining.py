@@ -1,8 +1,27 @@
 """Unit tests for the level-wise lattice miner."""
 
-from repro import DocumentIndex, LabeledTree, count_matches, mine_lattice
-from repro.mining import pattern_counts_by_level
-from repro.trees.canonical import canon_from_nested, canon_size
+from contextlib import contextmanager
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+from repro import (
+    DocumentIndex,
+    LabeledTree,
+    LatticeSummary,
+    count_matches,
+    mine_lattice,
+)
+from repro.core.streaming import _graft
+from repro.mining import (
+    anchored_counts,
+    freqt,
+    mine_lattice_sharded,
+    pattern_counts_by_level,
+    sharded,
+)
+from repro.store import DictStore
+from repro.trees.canonical import canon, canon_from_nested, canon_size, canon_to_tree
 
 from .conftest import brute_force_patterns
 
@@ -117,3 +136,100 @@ class TestPatternCountsByLevel:
         counts = pattern_counts_by_level(figure1_doc, 3)
         assert counts[1] == len(figure1_doc.distinct_labels())
         assert all(isinstance(v, int) for v in counts.values())
+
+
+# ----------------------------------------------------------------------
+# Candidate growth on canon tuples
+# ----------------------------------------------------------------------
+
+
+def tree_candidates(frontier, index):
+    """Reference generator: materialise each frontier pattern as a tree,
+    grow one leaf at every node, and recanonicalise the copy."""
+    candidates = set()
+    for pattern in frontier:
+        tree = canon_to_tree(pattern)
+        for node in range(tree.size):
+            for label in index.child_labels.get(tree.label(node), ()):
+                candidates.add(canon(tree.with_child(node, label)))
+    return sorted(candidates)
+
+
+@contextmanager
+def tree_growth():
+    """Route the miner and ``anchored_counts`` through :func:`tree_candidates`."""
+    with mock.patch.object(freqt, "_generate_candidates", tree_candidates):
+        with mock.patch.object(sharded, "_generate_candidates", tree_candidates):
+            yield
+
+
+@st.composite
+def twin_tree(draw):
+    """A small tree over few labels, with identical sibling subtrees grafted
+    in so that a pattern can have several equal children."""
+    size = draw(st.integers(1, 8))
+    tree = LabeledTree(draw(st.sampled_from("ab")))
+    for i in range(1, size):
+        tree.add_child(draw(st.integers(0, i - 1)), draw(st.sampled_from("abc")))
+    for _ in range(draw(st.integers(0, 2))):
+        parent = draw(st.integers(0, tree.size - 1))
+        kids = list(tree.child_ids(parent))
+        if kids:
+            _graft(tree, parent, tree.subtree_at(draw(st.sampled_from(kids))))
+    return tree
+
+
+def assert_same_levels(got, want):
+    assert list(got.levels) == list(want.levels)
+    for size, level in want.levels.items():
+        assert list(got.levels[size].items()) == list(level.items())
+
+
+class TestCanonGrowth:
+    @settings(max_examples=80, deadline=None)
+    @given(tree=twin_tree(), level=st.integers(2, 5))
+    def test_candidates_match_tree_growth(self, tree, level):
+        index = DocumentIndex(tree)
+        mined = mine_lattice(index, level)
+        for size in sorted(mined.levels):
+            frontier = sorted(mined.levels[size])
+            got = freqt._generate_candidates(frontier, index)
+            assert got == tree_candidates(frontier, index)
+
+    @settings(max_examples=40, deadline=None)
+    @given(tree=twin_tree(), level=st.integers(1, 5))
+    def test_mining_is_bit_identical_to_tree_growth(self, tree, level):
+        index = DocumentIndex(tree)
+        anchors = sorted({0, *tree.child_ids(0)})
+        got = mine_lattice(index, level)
+        got_anchored = anchored_counts(index, anchors, level)
+        got_sharded = mine_lattice_sharded(index, level, shards=2)
+        with tree_growth():
+            want = mine_lattice(index, level)
+            want_anchored = anchored_counts(index, anchors, level)
+        assert_same_levels(got, want)
+        assert_same_levels(got_sharded, want)
+        assert list(got_anchored.items()) == list(want_anchored.items())
+
+    def test_builds_and_files_are_bit_identical(self, small_nasa, tmp_path):
+        # Serial, two-worker and two-shard builds against the reference
+        # serial build: level dicts in order and saved bytes.  The
+        # serial dict store's measured footprint must not change either
+        # (byte budgets read it), so candidates may not share sub-tuples.
+        index = DocumentIndex(small_nasa)
+        with tree_growth():
+            want = mine_lattice(index, 4)
+            reference = LatticeSummary.build(index, 4)
+        assert_same_levels(mine_lattice(index, 4), want)
+        assert_same_levels(mine_lattice(index, 4, workers=2), want)
+        assert_same_levels(mine_lattice_sharded(index, 4, shards=2), want)
+        reference.save(tmp_path / "want.sum")
+        for kwargs in ({}, {"workers": 2}, {"shards": 2}):
+            LatticeSummary.build(index, 4, **kwargs).save(tmp_path / "got.sum")
+            got_bytes = (tmp_path / "got.sum").read_bytes()
+            assert got_bytes == (tmp_path / "want.sum").read_bytes(), kwargs
+        footprint = [
+            DictStore.from_counts(dict(summary.patterns())).byte_size()
+            for summary in (LatticeSummary.build(index, 4), reference)
+        ]
+        assert footprint[0] == footprint[1]

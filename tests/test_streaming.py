@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro import LabeledTree, LatticeSummary, StreamingSummary
 from repro.core.streaming import DEFAULT_MAX_PENDING, _graft, _RootMoments
+from repro.datasets import generate_nasa
 from repro.mining.sharded import anchored_counts
+from repro.trees.canonical import canon_of_subtree
 from repro.trees.labeled_tree import TreeBuildError
 from repro.trees.matching import DocumentIndex
 
@@ -119,6 +121,28 @@ def test_delete_returns_the_removed_record():
     streaming.insert(record)
     removed = streaming.delete(0)
     assert removed.isomorphic(record)
+
+
+def test_delete_by_index_keeps_root_child_order():
+    # Positions are left to right in insertion order, before and after
+    # deletes: a delete must not reorder the surviving root children.
+    document = LabeledTree.from_nested(("r", ["a", ("b", ["x"]), "c", "d"]))
+    streaming = StreamingSummary(document, LEVEL)
+    streaming.insert(LabeledTree.from_nested(("e", ["y"])))
+
+    def root_labels():
+        doc = streaming.document
+        return [doc.label(child) for child in doc.child_ids(doc.root)]
+
+    assert streaming.delete(0).label(0) == "a"
+    assert root_labels() == ["b", "c", "d", "e"]
+    assert streaming.delete(0).label(0) == "b"
+    assert root_labels() == ["c", "d", "e"]
+    streaming.insert(LabeledTree("f"))
+    assert streaming.delete(1).label(0) == "d"
+    assert root_labels() == ["c", "e", "f"]
+    assert streaming.delete(2).label(0) == "f"  # the last child
+    assert root_labels() == ["c", "e"]
 
 
 def test_delete_validates_the_index():
@@ -314,14 +338,18 @@ def _root_anchored(document: LabeledTree, level: int) -> dict:
     return anchored_counts(DocumentIndex(document), (document.root,), level)
 
 
-def _cut(document: LabeledTree, node: int) -> LabeledTree:
-    drop = [node]
+def _record_nodes(document: LabeledTree, node: int) -> list[int]:
+    nodes = [node]
     stack = [node]
     while stack:
         for child in document.child_ids(stack.pop()):
-            drop.append(child)
+            nodes.append(child)
             stack.append(child)
-    return document.remove_nodes(drop)
+    return nodes
+
+
+def _without_record(document: LabeledTree, node: int) -> LabeledTree:
+    return document.remove_nodes(_record_nodes(document, node))
 
 
 def _check_spanning_deltas(document: LabeledTree, ops: list, level: int) -> None:
@@ -337,7 +365,7 @@ def _check_spanning_deltas(document: LabeledTree, ops: list, level: int) -> None
         else:
             node = document.child_ids(document.root)[arg]
             _, delta = moments.apply(document.subtree_at(node), root_label, -1)
-            document = _cut(document, node)
+            document = _without_record(document, node)
         after = _root_anchored(document, level)
         want = {
             pattern: after.get(pattern, 0) - before.get(pattern, 0)
@@ -406,6 +434,77 @@ def test_streaming_matches_rebuild_at_every_level(script, level):
 
 
 # ----------------------------------------------------------------------
+# In-place cut of a deleted record
+# ----------------------------------------------------------------------
+
+
+def _assert_well_formed(document: LabeledTree) -> None:
+    """Root is node 0, the arrays agree on the size, and every other node
+    is listed exactly once, in its parent's child list."""
+    size = document.size
+    assert len(document.parents) == len(document.children) == size
+    assert document.parents[0] == -1
+    listed = [kid for kids in document.children for kid in kids]
+    assert sorted(listed) == list(range(1, size))
+    for node in range(1, size):
+        assert document.child_ids(document.parent(node)).count(node) == 1
+    assert sorted(document.preorder()) == list(range(size))
+
+
+def _delete_and_check(streaming: StreamingSummary, position: int) -> None:
+    """Delete one record and check the document against ``remove_nodes``,
+    the surviving root-child order, and sharded against serial builds."""
+    document = streaming.document
+    kids = list(document.child_ids(document.root))
+    expected = _without_record(document, kids[position])
+    records = [canon_of_subtree(document, kid) for kid in kids]
+    del records[position]
+    streaming.delete(position)
+    document = streaming.document
+    _assert_well_formed(document)
+    assert document.isomorphic(expected)
+    kept = [canon_of_subtree(document, kid) for kid in document.child_ids(0)]
+    assert kept == records
+    serial = LatticeSummary.build(document, LEVEL)
+    sharded = LatticeSummary.build(document, LEVEL, shards=2)
+    assert list(sharded.patterns()) == list(serial.patterns())
+
+
+@settings(max_examples=30, deadline=None)
+@given(script=span_script())
+def test_cut_matches_remove_nodes(script):
+    document, ops = script
+    streaming = StreamingSummary(document, LEVEL, max_pending=1)
+    for kind, arg in ops:
+        if kind == "insert":
+            streaming.insert(arg)
+        else:
+            _delete_and_check(streaming, arg)
+
+
+def test_cut_of_scattered_records():
+    # Generated NASA records are not numbered in pre-order: each one's
+    # ids are spread over the document.  Cut the first, a middle and the
+    # last record, then the only one left of a small document.
+    document = generate_nasa(8, seed=3)
+    spans = [sorted(_record_nodes(document, kid)) for kid in document.child_ids(0)]
+    assert any(ids[-1] - ids[0] + 1 != len(ids) for ids in spans)
+    streaming = StreamingSummary(document, LEVEL, max_pending=2)
+    for position in (0, 3, len(spans) - 3):
+        _delete_and_check(streaming, position)
+    doc = streaming.document
+    # Moved nodes may now sit below their parent's id; nothing may rely
+    # on parents being numbered first, and the checks above still hold.
+    assert any(doc.parent(node) > node for node in range(1, doc.size))
+    want = dict(LatticeSummary.build(doc, LEVEL).patterns())
+    assert dict(streaming.summary(fresh=True).patterns()) == want
+
+    single = StreamingSummary(LabeledTree.from_nested(("r", [("a", ["b"])])), LEVEL)
+    _delete_and_check(single, 0)
+    assert single.document.size == 1
+
+
+# ----------------------------------------------------------------------
 # Work done per update
 # ----------------------------------------------------------------------
 
@@ -415,7 +514,6 @@ def test_updates_never_recount_the_whole_document(tmp_path, monkeypatch):
     # root-child moment sums); every later one mines just its record,
     # and resuming from a saved summary mines nothing at all.
     from repro.core import streaming as streaming_module
-    from repro.datasets import generate_nasa
     from repro.trees import matching
 
     level = 3
@@ -446,7 +544,18 @@ def test_updates_never_recount_the_whole_document(tmp_path, monkeypatch):
     for name in calls:
         monkeypatch.setattr(streaming_module, name, counted(name))
     monkeypatch.setattr(matching.DocumentIndex, "__init__", recording_init)
+    rebuilds = []
+    for name in ("remove_nodes", "induced_subtree"):
+        monkeypatch.setattr(
+            LabeledTree, name, lambda *args, name=name: rebuilds.append(name)
+        )
 
+    # Sizes of every record an update may index: a donor or an original
+    # child (taken now, since the maintainer updates the document in place).
+    record_sizes = {record.size for record in records}
+    record_sizes.update(
+        document.subtree_at(child).size for child in document.child_ids(document.root)
+    )
     streaming = StreamingSummary.restore(path, document, max_pending=4)
     assert calls["mine_lattice"] == 0 and indexed == []
 
@@ -464,12 +573,8 @@ def test_updates_never_recount_the_whole_document(tmp_path, monkeypatch):
         else:
             streaming.insert(records[1 + op // 2 % (len(records) - 1)])
     assert calls["anchored_counts"] == 0
+    assert rebuilds == []  # deletes cut in place, never rebuild the document
     assert calls["mine_lattice"] == updates  # one mine per record
-    # Every index built was of one record: a donor or an original child.
-    record_sizes = {record.size for record in records}
-    record_sizes.update(
-        document.subtree_at(child).size for child in document.child_ids(document.root)
-    )
     assert set(indexed) <= record_sizes
     assert len(indexed) == updates
     want = dict(LatticeSummary.build(streaming.document, level).patterns())

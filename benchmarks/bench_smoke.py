@@ -21,6 +21,11 @@ parallel/batch identity checks, producing a ``BENCH_pr.json`` artifact:
   against the cold pass that built the plans, failing below each
   backend's speedup floor (plan/array 2x, numpy 10x) and on any warm
   value differing from the cold bit pattern;
+* times cold ``estimate()`` per estimator on fresh instances over the
+  smoke queries (``cold`` in each dataset row: per-query ms and its
+  calibration-scaled ratio), failing if any cold estimate differs from
+  the tree-materialising oracle recursion in ``tests/tree_oracle.py``
+  or if a recursive estimator's layout DAG derives a layout twice;
 * streams ``STREAM_UPDATES`` alternating inserts and deletes through a
   :class:`~repro.core.streaming.StreamingSummary` of a NASA document,
   recording calibration-scaled insert/delete medians and failing if the
@@ -71,6 +76,7 @@ import sys
 import time
 from pathlib import Path
 
+from repro.core.decompose import leaf_pair_decompositions
 from repro.core.fixed import FixedDecompositionEstimator
 from repro.core.lattice import LatticeSummary
 from repro.core.recursive import RecursiveDecompositionEstimator
@@ -82,6 +88,9 @@ from repro.mining.freqt import MiningResult, mine_lattice
 from repro.trees.matching import DocumentIndex
 from repro.trees.regions import plan_shards
 from repro.workload.generator import positive_workloads
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.tree_oracle import TreeOracle, expected_derivations  # noqa: E402
 
 SCHEMA = 4
 LEVEL = 4
@@ -111,6 +120,8 @@ BACKEND_SPEEDUP_FLOORS = {"plan": 2.0, "array": 2.0, "numpy": 10.0}
 #: inside timer jitter; each timed warm region runs this many batches
 #: and divides, keeping per-backend qps stable enough to gate on.
 WARM_REPEATS = 10
+#: Cold region: fresh-estimator passes per estimator; the best one counts.
+COLD_REPEATS = 3
 #: Streaming region: alternating updates on ``generate_nasa(*STREAM_DOC)``.
 STREAM_DOC = (150, 1)
 STREAM_UPDATES = 40
@@ -243,6 +254,66 @@ def backend_timings(
     return best_cold, best_warm, sorted(set(failures))
 
 
+def cold_timings(
+    summary: LatticeSummary, queries: list
+) -> tuple[dict[str, dict[str, float]], list[str]]:
+    """Best-of-``COLD_REPEATS`` cold ``estimate()`` pass per estimator.
+
+    Every pass starts from fresh estimators, so each query compiles its
+    plan.  Values must equal the oracle's bit for bit.  An untimed pass
+    then estimates the queries followed by their first splits' ``T - u``
+    sub-twigs, which land on layouts the queries already expanded: the
+    values must equal the oracle's there too, and a recursive
+    estimator's layout DAG must have derived each layout once.  Returns
+    per-query ms and its calibration-scaled ratio per estimator.
+    """
+    fixed_oracle = FixedDecompositionEstimator(summary)
+    fixed_oracle._fallback = TreeOracle(summary)
+    oracles = (TreeOracle(summary), TreeOracle(summary, voting=True), fixed_oracle)
+    expected = [[oracle.estimate(q).hex() for q in queries] for oracle in oracles]
+    best = [float("inf")] * len(oracles)
+    names: list[str] = []
+    failures: list[str] = []
+    gc.collect()
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    calibration_before = calibration_seconds()
+    try:
+        for _ in range(COLD_REPEATS):
+            estimators = make_estimators(summary)
+            names = [estimator.name for estimator in estimators]
+            for kind, estimator in enumerate(estimators):
+                start = time.process_time()
+                values = [estimator.estimate(q) for q in queries]
+                best[kind] = min(best[kind], time.process_time() - start)
+                if [value.hex() for value in values] != expected[kind]:
+                    failures.append(f"{estimator.name}: cold estimates differ from the oracle")
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    calibration = bracket_calibration(calibration_before, calibration_seconds())
+    subtwigs = [
+        next(leaf_pair_decompositions(query.tree)).t1 for query in queries
+    ]
+    for voting in (False, True):
+        estimator = RecursiveDecompositionEstimator(summary, voting=voting)
+        oracle = TreeOracle(summary, voting=voting)
+        for query in [*queries, *subtwigs]:
+            if estimator.estimate(query).hex() != oracle.estimate(query).hex():
+                failures.append(f"{estimator.name}: cold estimates differ from the oracle")
+        dag = estimator._dag
+        if dag.derived != expected_derivations(dag, voting):
+            failures.append(f"{estimator.name}: a layout was derived twice")
+    rows = {
+        name: {
+            "ms": round(seconds / len(queries) * 1e3, 4),
+            "ratio": round(seconds / len(queries) / calibration, 5),
+        }
+        for name, seconds in zip(names, best)
+    }
+    return rows, sorted(set(failures))
+
+
 def run_dataset(
     name: str, scale: int, backends: tuple[str, ...]
 ) -> tuple[dict[str, object], list[str]]:
@@ -350,6 +421,9 @@ def run_dataset(
                 f"{name}: array backend too large: {ratio:.2f}x dict bytes "
                 f"(ceiling {ARRAY_RATIO_CEILING}x)"
             )
+
+    row["cold"], cold_failures = cold_timings(summary, queries)
+    failures.extend(f"{name}: {message}" for message in cold_failures)
 
     batch_cal_before = calibration_seconds()
     cold_seconds, warm_seconds, warm_failures = backend_timings(summary, queries)
@@ -556,10 +630,15 @@ def main(argv: list[str] | None = None) -> int:
             backend: f"{metrics['speedup']}x"
             for backend, metrics in dict(row["warm"]).items()
         }
+        cold = {
+            estimator: f"{metrics['ms']}ms"
+            for estimator, metrics in dict(row["cold"]).items()
+        }
         print(
             f"{name:8} nodes={row['nodes']:<6} patterns={row['patterns']:<5} "
             f"serial={row['serial_seconds']}s parallel={row['parallel_seconds']}s "
-            f"merge_overhead={row['merge_vs_serial']:.1%} warm_speedups={warm}"
+            f"merge_overhead={row['merge_vs_serial']:.1%} warm_speedups={warm} "
+            f"cold={cold}"
         )
 
     stream_row, stream_failures = run_stream()

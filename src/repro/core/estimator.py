@@ -81,14 +81,17 @@ class SelectivityEstimator(ABC):
     ) -> list[float]:
         """Estimate a whole workload in one call.
 
-        The values are exactly ``[self.estimate(q) for q in queries]`` —
-        batching never changes an estimate — but subclasses share work
-        across the batch (the recursive/voting estimator reuses sub-twig
-        selectivities through one cross-query memo, see
-        :meth:`~repro.core.recursive.RecursiveDecompositionEstimator.
-        _estimate_trees`), and ``workers`` fans large batches out over
-        worker processes in deterministic chunks (``0`` = one worker per
-        core; ``chunk_size`` pins queries per task).
+        Subclasses share work across the batch: the recursive/voting
+        estimator reuses sub-twig selectivities through one cross-query
+        memo (see :meth:`~repro.core.recursive.
+        RecursiveDecompositionEstimator._estimate_trees`).  A memo entry
+        keeps the value of the first query layout that reached its
+        shape, so such a batch can answer a query differently from
+        ``self.estimate(q)`` on a fresh estimator; estimators without a
+        cross-query memo return exactly ``[self.estimate(q) for q in
+        queries]``.  ``workers`` fans large batches out over worker
+        processes in deterministic chunks (``0`` = one worker per core;
+        ``chunk_size`` pins queries per task).
 
         ``backend`` picks how warm (already-compiled) shapes replay:
         ``None``/``"plan"`` keeps the legacy per-query plan replay;

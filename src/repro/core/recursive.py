@@ -22,7 +22,16 @@ recursion into a :class:`~repro.core.plan.CompiledPlan` — summary
 lookups resolved to constants, the Theorem 1 arithmetic recorded as a
 replayable op DAG — so repeated-shape workloads skip tree decomposition
 entirely on later queries.  Warm replays are bit-identical to cold runs
-(see ``docs/architecture.md`` for the plan lifecycle).
+(see ``docs/architecture.md`` for the plan lifecycle).  The cold compile
+walks the estimator's :class:`~repro.core.decompose.LayoutDAG`, which
+derives each sub-twig layout's splits once on flat arrays and shares
+them across queries; no tree is materialised.
+
+Values follow layouts, not only shapes: the leaf pair a decomposition
+takes first, and the order of the voting sum, depend on node ids, so two
+layouts of one shape can give different values.  A memo entry, like a
+compiled plan, keeps the value of whichever layout reached its shape
+first.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ if TYPE_CHECKING:
 from .. import obs
 from ..trees.canonical import Canon, PatternInterner, canon, encode_canon
 from ..trees.labeled_tree import LabeledTree
-from .decompose import leaf_pair_decompositions
+from .decompose import LayoutDAG, record_split
 from .estimator import SelectivityEstimator
 from .lattice import LatticeSummary
 from .plan import CompiledPlan, PlanBuilder, record_plan_request
@@ -84,10 +93,12 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
         When true, keep one memo of sub-twig selectivities across *all*
         queries this instance estimates (instead of one fresh memo per
         query), so a workload of related twigs pays each distinct
-        sub-pattern once.  Memoisation never changes a value — every
-        entry is a deterministic function of (canon, lattice) — so
-        estimates are bit-identical with the cache on or off.  Drop the
-        memo with :meth:`clear_cache` after mutating the summary.
+        sub-pattern once.  A memo entry holds the value computed from
+        whichever layout reached its canon first, so with the cache on a
+        query can read another query's sub-twig value and its estimate
+        can differ from a fresh estimator's (the known batch-memo
+        defect).  Drop the memo with :meth:`clear_cache` after mutating
+        the summary.
     """
 
     def __init__(
@@ -108,22 +119,35 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
         # estimator-owned interner) -> compiled evaluation plan.
         self._plan_keys = PatternInterner()
         self._plans: dict[int, CompiledPlan] = {}
+        # Sub-twig layouts met by cold compiles and their splits.
+        self._dag = LayoutDAG(self._plan_keys, voting=voting)
         # Warm plans seen by the current kernel batch whose memo
         # donations have not been replayed yet (see _before_kernel_cold).
         self._kernel_pending: list[CompiledPlan] = []
 
     def clear_cache(self) -> None:
-        """Forget memoised selectivities *and* compiled plans.
+        """Forget memoised selectivities, compiled plans and the layout DAG.
 
-        Both caches are pure functions of (canon, summary); dropping them
-        never changes an estimate, it only makes the next query per shape
-        pay compilation again.
+        The next query per shape pays compilation again.  Its value then
+        comes from that query's layout, which may differ from the layout
+        the dropped plan was compiled from.
         """
         if self._shared_memo is not None:
             self._shared_memo.clear()
         self._plans.clear()
+        self._dag = LayoutDAG(self._plan_keys, voting=self.voting)
         if self._kernels is not None:
             self._kernels.clear()
+
+    def __getstate__(self) -> dict[str, object]:
+        # The layout DAG is a process-local cache: workers rebuild it.
+        state = self.__dict__.copy()
+        del state["_dag"]
+        return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self._dag = LayoutDAG(self._plan_keys, voting=self.voting)
 
     @contextmanager
     def batch_cache(self) -> Iterator[None]:
@@ -131,7 +155,10 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
 
         With a persistent ``shared_cache`` this is a no-op; otherwise a
         temporary memo is installed and dropped on exit.  Used by the
-        batch path here and by the fix-sized estimator's fallback.
+        batch path here and by the fix-sized estimator's fallback.  As
+        with ``shared_cache``, an entry keeps the value of the first
+        layout that reached its canon, so a batch estimate can differ
+        from a fresh ``estimate()`` of the same query.
         """
         if self._shared_memo is not None:
             yield
@@ -245,7 +272,7 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
         builder = PlanBuilder()
         self._max_depth = 0
         if not obs.enabled:
-            value, root = self._compile(tree, memo, 0, builder)
+            value, root = self._compile_query(tree, pattern_id, memo, builder)
             self._plans[pattern_id] = builder.build(root, self._max_depth)
             return value
         with obs.span("estimate", estimator=self.name, plan="miss") as root_span:
@@ -254,7 +281,7 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
             with obs.registry.timer(
                 "estimate_seconds", "Per-query estimation wall time."
             ).time() as frame:
-                value, root = self._compile(tree, memo, 0, builder)
+                value, root = self._compile_query(tree, pattern_id, memo, builder)
             root_span.set(value=value, depth=self._max_depth)
         obs.registry.histogram(
             "recursion_depth", "Deepest decomposition level reached per query."
@@ -269,9 +296,19 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
         )
         return value
 
-    def _compile(
+    def _compile_query(
         self,
         tree: LabeledTree,
+        pattern_id: int,
+        memo: dict[int, float],
+        builder: PlanBuilder,
+    ) -> tuple[float, int]:
+        """Cold compile of one query: walk its layout DAG from the root."""
+        return self._compile(self._dag.node_of(tree, pattern_id), memo, 0, builder)
+
+    def _compile(
+        self,
+        node: int,
         memo: dict[int, float],
         depth: int,
         builder: PlanBuilder,
@@ -279,39 +316,59 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
         """One recursion node: return ``(estimate, slot holding it)``.
 
         This *is* the original estimation recursion — same lookups, same
-        float operations, same observability — it just records every
-        value and operation into ``builder`` as a side effect.
+        float operations, same observability — over the sub-twig
+        layouts of :class:`~repro.core.decompose.LayoutDAG` instead of
+        materialised trees; it records every value and operation into
+        ``builder`` as a side effect.
         """
-        key = canon(tree)
-        pattern_id = self._plan_keys.intern(key)
+        dag = self._dag
+        pattern_id = dag.pattern_id(node)
         cached = memo.get(pattern_id)
         if cached is not None:
             if obs.enabled:
                 self._record_memo("hit")
                 if obs.span_recording():
                     obs.span_point(
-                        "memo_hit", pattern=encode_canon(key), value=cached
+                        "memo_hit",
+                        pattern=encode_canon(self._plan_keys.canon_of(pattern_id)),
+                        value=cached,
                     )
             return cached, builder.const(cached)
         if obs.enabled:
             self._record_memo("miss")
-        value = self._lookup(key, tree.size)
+        size = dag.size(node)
+        value = self._resolve(pattern_id, size)
         if value is None:
             if obs.enabled:
-                with obs.span("decompose", size=tree.size, depth=depth) as dspan:
+                with obs.span("decompose", size=size, depth=depth) as dspan:
                     if obs.span_recording():
-                        dspan.set(pattern=encode_canon(key))
+                        dspan.set(
+                            pattern=encode_canon(self._plan_keys.canon_of(pattern_id))
+                        )
                     value, slot = self._compile_decompose(
-                        tree, memo, depth, builder
+                        node, memo, depth, builder
                     )
                     dspan.set(value=value)
             else:
-                value, slot = self._compile_decompose(tree, memo, depth, builder)
+                value, slot = self._compile_decompose(node, memo, depth, builder)
         else:
             slot = builder.const(value)
         memo[pattern_id] = value
         builder.note_memo(pattern_id, slot)
         return value, slot
+
+    def _resolve(self, pattern_id: int, size: int) -> float | None:
+        """:meth:`_lookup` of a pattern id, read once per DAG.
+
+        With obs enabled every call runs the lookup again, so the lookup
+        counters and span points match a run without the cache.
+        """
+        lookups = self._dag.lookups
+        if not obs.enabled and pattern_id in lookups:
+            return lookups[pattern_id]
+        value = self._lookup(self._plan_keys.canon_of(pattern_id), size)
+        lookups[pattern_id] = value
+        return value
 
     @staticmethod
     def _record_memo(outcome: str) -> None:
@@ -350,7 +407,7 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
 
     def _compile_decompose(
         self,
-        tree: LabeledTree,
+        node: int,
         memo: dict[int, float],
         depth: int,
         builder: PlanBuilder,
@@ -358,11 +415,13 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
         total = 0.0
         count = 0
         parts: list[int] = []
-        for split in leaf_pair_decompositions(tree):
+        splits = self._dag.splits(node)
+        for first in range(0, len(splits), 3):
             if obs.enabled:
+                record_split()
                 obs.span_point("choice", index=count)
             denominator, denominator_slot = self._compile(
-                split.common, memo, depth + 1, builder
+                splits[first + 2], memo, depth + 1, builder
             )
             if denominator <= 0.0:
                 # The original recursion never evaluates t1/t2 here, so
@@ -371,18 +430,16 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
                 part = builder.const(0.0)
             else:
                 t1_value, t1_slot = self._compile(
-                    split.t1, memo, depth + 1, builder
+                    splits[first], memo, depth + 1, builder
                 )
                 t2_value, t2_slot = self._compile(
-                    split.t2, memo, depth + 1, builder
+                    splits[first + 1], memo, depth + 1, builder
                 )
                 estimate = t1_value * t2_value / denominator
                 part = builder.ratio(t1_slot, t2_slot, denominator_slot)
             parts.append(part)
             total += estimate
             count += 1
-            if not self.voting:
-                break
         # Tracked unconditionally (not only under obs): the compiled
         # plan's max_depth must match what a cold observed run reports.
         if depth + 1 > self._max_depth:
@@ -396,7 +453,7 @@ class RecursiveDecompositionEstimator(SelectivityEstimator):
                 "Leaf-pair decompositions averaged per expanded node.",
             ).observe(count)
             obs.event(
-                "decompose_step", size=tree.size, depth=depth, fanout=count
+                "decompose_step", size=self._dag.size(node), depth=depth, fanout=count
             )
         if not count:
             return 0.0, builder.const(0.0)

@@ -37,26 +37,6 @@ _CORRUPTION_SITE = "store.dict_payload"
 TRANSPORT_SITE = "store.load"
 
 
-def _deep_canon_bytes(key: Canon, seen: set[int]) -> int:
-    """Footprint of one canon tuple, skipping objects already counted.
-
-    Canon nodes are nested tuples over label strings; label strings are
-    typically shared across many patterns of one document, so dedup by
-    object identity keeps the figure honest.
-    """
-    total = 0
-    stack: list[object] = [key]
-    while stack:
-        obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        total += sys.getsizeof(obj)
-        if isinstance(obj, tuple):
-            stack.extend(obj)
-    return total
-
-
 class DictStore(SummaryStore):
     """Insertion-ordered hash table over canonical tuple keys."""
 
@@ -90,13 +70,27 @@ class DictStore(SummaryStore):
         return iter(self._counts.items())
 
     def byte_size(self) -> int:
-        """Actual footprint: the table plus every key tuple and count."""
-        seen: set[int] = set()
-        total = sys.getsizeof(self._counts)
+        """Footprint of the table, its counts and its key tuples.
+
+        Defined by value, so equal counts give equal sizes however their
+        keys were built (serially, unpickled from workers, merged): every
+        canon node tuple and child tuple is charged once per key, each
+        distinct label string once, and the shared empty tuple once.
+        """
+        total = sys.getsizeof(self._counts) + sys.getsizeof(())
+        labels: set[str] = set()
         for key, count in self._counts.items():
-            total += _deep_canon_bytes(key, seen)
             total += sys.getsizeof(count)
-        return total
+            stack = [key]
+            while stack:
+                node = stack.pop()
+                label, kids = node
+                labels.add(label)
+                total += sys.getsizeof(node)
+                if kids:
+                    total += sys.getsizeof(kids)
+                    stack.extend(kids)
+        return total + sum(sys.getsizeof(label) for label in labels)
 
     def merge(self, other: SummaryStore) -> "DictStore":
         """Monoid combine: counts add, neither operand is touched.

@@ -21,7 +21,14 @@ from repro.mining import (
     sharded,
 )
 from repro.store import DictStore
-from repro.trees.canonical import canon, canon_from_nested, canon_size, canon_to_tree
+from repro.trees.canonical import (
+    canon,
+    canon_from_nested,
+    canon_size,
+    canon_to_tree,
+    decode_canon,
+    encode_canon,
+)
 
 from .conftest import brute_force_patterns
 
@@ -215,7 +222,7 @@ class TestCanonGrowth:
         # Serial, two-worker and two-shard builds against the reference
         # serial build: level dicts in order and saved bytes.  The
         # serial dict store's measured footprint must not change either
-        # (byte budgets read it), so candidates may not share sub-tuples.
+        # (byte budgets read it).
         index = DocumentIndex(small_nasa)
         with tree_growth():
             want = mine_lattice(index, 4)
@@ -233,3 +240,21 @@ class TestCanonGrowth:
             for summary in (LatticeSummary.build(index, 4), reference)
         ]
         assert footprint[0] == footprint[1]
+
+    def test_footprint_does_not_depend_on_how_the_summary_was_built(
+        self, small_nasa
+    ):
+        # Worker builds unpickle their keys and candidates share
+        # sub-tuples; the measured footprint is defined by value.
+        index = DocumentIndex(small_nasa)
+        sizes = [
+            LatticeSummary.build(index, 3, **kwargs).byte_size()
+            for kwargs in ({}, {"workers": 2}, {"shards": 2})
+        ]
+        assert sizes[0] == sizes[1] == sizes[2]
+        patterns = dict(LatticeSummary.build(index, 3).patterns())
+        copied = {decode_canon(encode_canon(key)): n for key, n in patterns.items()}
+        assert (
+            DictStore.from_counts(copied).byte_size()
+            == DictStore.from_counts(patterns).byte_size()
+        )
